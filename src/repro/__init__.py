@@ -145,7 +145,6 @@ from repro.query import (
     count_,
     eq,
     equijoin,
-    evaluate_query,
     explain_plan,
     is_hierarchical,
     lit,
@@ -188,7 +187,7 @@ __all__ = [
     # query
     "Query", "Select", "Project", "Product", "Union", "GroupAgg", "AggSpec",
     "relation", "product_of", "equijoin", "attr", "lit", "eq", "cmp_",
-    "conj", "evaluate_query", "validate_query", "parse_sql", "optimize",
+    "conj", "validate_query", "parse_sql", "optimize",
     "optimize_traced", "Rule", "plan_query", "explain_plan",
     "classify_query", "is_hierarchical", "tuple_independent_relations",
     # session facade

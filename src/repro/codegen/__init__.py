@@ -30,6 +30,7 @@ from repro.codegen.runtime import (
     codegen_strict,
     record_cache_hit,
     reset_runtime_stats,
+    run_counters,
     runtime_stats,
 )
 
@@ -42,6 +43,7 @@ __all__ = [
     "codegen_strict",
     "runtime_stats",
     "reset_runtime_stats",
+    "run_counters",
 ]
 
 _MISSING = object()

@@ -17,15 +17,18 @@ This module also owns the two process-wide knobs:
   interpreter fallback on compile failure into a raised error; the test
   suite runs strict so emitter bugs cannot hide behind the fallback.
 
-and the volatile counters (:func:`runtime_stats`) surfaced as
-``codegen_used`` / ``codegen_compile_seconds`` / ``kernel_cache_hits`` in
-result stats.
+and the volatile counters: process-wide totals (:func:`runtime_stats`)
+and the per-run counts of :func:`run_counters`, which engine adapters
+surface as ``kernels_compiled`` / ``codegen_compile_seconds`` /
+``kernel_cache_hits`` in result stats.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from repro.algebra.semimodule import ModuleExpr
 from repro.db.pvc_table import tuple_getter
@@ -40,6 +43,7 @@ __all__ = [
     "KERNEL_GLOBALS",
     "runtime_stats",
     "reset_runtime_stats",
+    "run_counters",
 ]
 
 
@@ -127,11 +131,11 @@ KERNEL_GLOBALS = {
 }
 
 
-_STATS = {
-    "kernels_compiled": 0,
-    "kernel_cache_hits": 0,
-    "codegen_compile_seconds": 0.0,
-}
+def _zero_counters() -> dict:
+    return {"kernels_compiled": 0, "kernel_cache_hits": 0, "codegen_compile_seconds": 0.0}
+
+
+_STATS = _zero_counters()
 
 #: Server executor threads compile kernels concurrently, so the counters
 #: need a real lock: ``+=`` on a dict entry is a read-modify-write, and
@@ -141,15 +145,46 @@ _STATS_LOCK = threading.Lock()
 _shared_state_ = {"_STATS_LOCK": ("_STATS",)}
 
 
+#: The counters of the current logical run (see :func:`run_counters`).
+#: A context variable, so runs on concurrent server executor threads
+#: each count only their own compiles.
+_RUN: "ContextVar[dict | None]" = ContextVar("repro_codegen_run", default=None)
+
+
+@contextmanager
+def run_counters(counters: dict | None = None):
+    """Count the codegen work of the enclosed block into ``counters``.
+
+    Yields the counter dict (fresh and zeroed by default; pass an earlier
+    one to keep accumulating across blocks, e.g. the rounds of an anytime
+    iterator).  Scopes nest, innermost wins.  Keep the block free of
+    ``yield``: a generator resumed in another context could not reset it.
+    """
+    if counters is None:
+        counters = _zero_counters()
+    token = _RUN.set(counters)
+    try:
+        yield counters
+    finally:
+        _RUN.reset(token)
+
+
 def record_compile(seconds: float) -> None:
     with _STATS_LOCK:
         _STATS["kernels_compiled"] += 1
         _STATS["codegen_compile_seconds"] += seconds
+    run = _RUN.get()
+    if run is not None:
+        run["kernels_compiled"] += 1
+        run["codegen_compile_seconds"] += seconds
 
 
 def record_cache_hit() -> None:
     with _STATS_LOCK:
         _STATS["kernel_cache_hits"] += 1
+    run = _RUN.get()
+    if run is not None:
+        run["kernel_cache_hits"] += 1
 
 
 def runtime_stats() -> dict:
@@ -160,5 +195,4 @@ def runtime_stats() -> dict:
 
 def reset_runtime_stats() -> None:
     with _STATS_LOCK:
-        for key in _STATS:
-            _STATS[key] = 0.0 if key == "codegen_compile_seconds" else 0
+        _STATS.update(_zero_counters())

@@ -4,24 +4,35 @@ The paper notes (Section 1) that "besides exact computation, decomposition
 trees also allow for approximate probability computation [18]": compiling
 an expression only partially and propagating *bounds* for the unexpanded
 residual expressions.  This module reproduces that scheme for the
-presence probability ``P[Φ ≠ 0_S]`` of tuple annotations:
+presence probability ``P[Φ ≠ 0_S]`` of tuple annotations.  The rules, in
+the order they are tried (none but Shannon spends budget):
 
-* the expression is compiled with a budget on the number of Shannon (⊔)
-  expansions;
-* when the budget runs out, the remaining expression becomes an *unknown*
-  leaf whose probability of being non-zero lies in ``[0, 1]``;
-* bounds propagate upward through the independence rules because
-  ``P(Φ ∨ Ψ) = 1-(1-p)(1-q)`` and ``P(Φ ∧ Ψ) = p·q`` are monotone in both
-  arguments, and through mutex nodes because mixtures are monotone too.
-  (For positive semirings without zero divisors — Boolean and ℕ — the
-  non-zero events of independent sums/products combine by exactly these
-  formulas, so the same propagation covers bag semantics.)
-* conditional sub-expressions ``[α θ β]`` over aggregation semimodules are
-  decided outright by the value intervals of
+* **constants and variables** are exact leaves;
+* **group guards** ``[Φ ≠ 0_S]`` over a semiring-typed ``Φ`` (every
+  GROUP BY row carries one) take the bounds of ``Φ``:
+  ``P[[Φ ≠ 0] ≠ 0] = P[Φ ≠ 0]`` in any semiring;
+* **independence** splits sums and products into variable-disjoint
+  groups, each bounded recursively; ``P(Φ ∨ Ψ) = 1-(1-p)(1-q)`` and
+  ``P(Φ ∧ Ψ) = p·q`` are monotone in both arguments, so bounds propagate
+  upward (for positive semirings without zero divisors — Boolean and ℕ —
+  the non-zero events of independent sums/products combine by exactly
+  these formulas, so the same propagation covers bag semantics);
+* **common-factor extraction** (rule 5, shared with the exact compiler
+  through :func:`repro.core.decompose.detach_common_factor`) rewrites a
+  connected sum ``Σ x·Φᵢ`` as ``x · R`` with ``x ∉ vars(R)``, and
+  ``P[x·R ≠ 0] = P[x ≠ 0]·P[R ≠ 0]`` (no zero divisors again).  With the
+  guard rule this bounds read-once annotations — e.g. the grouped COUNT
+  of a key–foreign-key chain join — exactly, without Shannon expansion;
+* **conditional sub-expressions** ``[α θ β]`` over aggregation
+  semimodules are decided outright by the value intervals of
   :func:`repro.algebra.bounds.value_bounds` when the two sides separate
-  (the Experiment-E effect); undecided comparisons are Shannon-expanded
-  within the same budget, each substitution re-tightening the value
-  intervals until the comparison folds.
+  (the Experiment-E effect);
+* **Shannon expansion** (⊔) of the most frequent variable handles the
+  rest, within a budget on the number of expansions.  When the budget
+  runs out, the remaining expression becomes an *unknown* leaf whose
+  probability of being non-zero lies in ``[0, 1]``; mixtures are monotone,
+  so bounds propagate through ⊔ nodes too, and each substitution
+  re-tightens the value intervals of undecided comparisons.
 
 Increasing the budget refines the interval monotonically; with an
 unbounded budget the interval collapses to the exact probability.
@@ -66,7 +77,7 @@ class ProbabilityBounds:
     high: float
 
     def __post_init__(self):
-        if not (0.0 - 1e-9 <= self.low <= self.high + 1e-9 <= 1.0 + 1e-9):
+        if not (-1e-9 <= self.low <= self.high + 1e-9 and self.high <= 1.0 + 1e-9):
             raise CompilationError(
                 f"invalid probability bounds [{self.low}, {self.high}]"
             )
@@ -179,10 +190,17 @@ class ApproximateCompiler:
         if isinstance(expr, Var):
             return ProbabilityBounds.exact(self._var_nonzero(expr.name))
         if isinstance(expr, Sum):
-            return self._combine(expr.children, ssum, "disjunction")
+            return self._combine(expr, ssum, ProbabilityBounds.disjunction, self._factor)
         if isinstance(expr, Prod):
-            return self._combine(expr.children, sprod, "conjunction")
+            return self._combine(expr, sprod, ProbabilityBounds.conjunction, self._shannon)
         if isinstance(expr, Compare):
+            if expr.op.symbol == "!=" and type(expr.right) is SConst and (
+                self.semiring.coerce(expr.right.value) == self.semiring.zero
+            ):
+                # A guard [Φ ≠ 0_S] (semiring-typed Φ: ``compare`` turns a
+                # constant facing a semimodule side into an MConst) is
+                # non-zero exactly when Φ is.
+                return self._bounds(expr.left)
             decided = fold_comparison_by_bounds(
                 expr.left, expr.op.symbol, expr.right, self.semiring.is_boolean
             )
@@ -204,23 +222,35 @@ class ApproximateCompiler:
             if self.semiring.coerce(value) != zero
         )
 
-    def _combine(self, children, rebuild, combiner: str) -> ProbabilityBounds:
-        groups = decompose.independent_groups(children)
+    def _combine(self, expr: Expr, rebuild, combine, connected) -> ProbabilityBounds:
+        """Independence: bound each variable-disjoint group, then ``combine``.
+
+        ``connected`` bounds ``expr`` when it forms a single group.
+        """
+        groups = decompose.independent_groups(expr.children)
         if len(groups) == 1:
-            # Connected: no independence rule applies, expand a variable.
-            return self._shannon(rebuild(children))
+            return connected(expr)
         result: ProbabilityBounds | None = None
         for group in groups:
-            if len(group) == 1:
-                group_bounds = self._bounds(group[0])
-            else:
-                group_bounds = self._shannon(rebuild(group))
-            result = (
-                group_bounds
-                if result is None
-                else getattr(result, combiner)(group_bounds)
-            )
+            group_bounds = self._bounds(group[0] if len(group) == 1 else rebuild(group))
+            result = group_bounds if result is None else combine(result, group_bounds)
         return result
+
+    def _factor(self, expr: Sum) -> ProbabilityBounds:
+        """Rule 5 before Shannon: ``Σ x·Φᵢ = x · R`` with ``x ∉ vars(R)``.
+
+        𝔹 and ℕ have no zero divisors, so ``P[x·R ≠ 0] = P[x ≠ 0]·P[R ≠ 0]``
+        for the independent factors ``x`` and ``R``.
+        """
+        detached = decompose.detach_common_factor(
+            expr.children, lambda residuals: self._normalizer(ssum(residuals))
+        )
+        if detached is None:
+            return self._shannon(expr)
+        name, residual = detached
+        return ProbabilityBounds.exact(self._var_nonzero(name)).conjunction(
+            self._bounds(residual)
+        )
 
     def _shannon(self, expr: Expr) -> ProbabilityBounds:
         if not expr.variables:

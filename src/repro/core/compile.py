@@ -315,21 +315,18 @@ class Compiler:
         ``(s₁·s₂) ⊗ m = s₁ ⊗ (s₂ ⊗ m)``).  Only applies when the residual
         sum no longer mentions the extracted variable.
         """
-        common = decompose.common_factor_variables(terms)
-        for name in sorted(common):
-            residuals = [decompose.divide_by_variable(t, name) for t in terms]
-            if is_module:
-                residual_sum = self._normalizer(aggsum(monoid, residuals))
-            else:
-                residual_sum = self._normalizer(ssum(residuals))
-            if name in residual_sum.variables:
-                continue  # e.g. x·x·y: dividing once does not detach x.
-            var_tree = self._compile(Var(name))
-            rest_tree = self._compile(residual_sum)
-            if is_module:
-                return TensorNode(monoid, var_tree, rest_tree)
-            return TimesNode((var_tree, rest_tree))
-        return None
+        build = (lambda residuals: aggsum(monoid, residuals)) if is_module else ssum
+        detached = decompose.detach_common_factor(
+            terms, lambda residuals: self._normalizer(build(residuals))
+        )
+        if detached is None:
+            return None
+        name, residual_sum = detached
+        var_tree = self._compile(Var(name))
+        rest_tree = self._compile(residual_sum)
+        if is_module:
+            return TensorNode(monoid, var_tree, rest_tree)
+        return TimesNode((var_tree, rest_tree))
 
     def _occurrence_counts(self, expr: Expr) -> tuple:
         """Memoised per-node occurrence counts, as a position-indexed tuple.

@@ -12,12 +12,14 @@ Two syntactic analyses drive the four independence rules of Algorithm 1:
   multiplicative factor, distributivity rewrites the sum as
   ``x · (Σ residuals)`` — the factorisation step that recovers read-once
   forms such as ``x₁y₁₁ + x₁y₁₂ = x₁(y₁₁ + y₁₂)`` (Example 14).  The
-  extraction is sound only when the residual no longer mentions ``x``.
+  extraction is sound only when the residual no longer mentions ``x``;
+  :func:`detach_common_factor` finds such an ``x`` for both the exact and
+  the approximate compiler.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.algebra.expressions import (
     ONE,
@@ -35,6 +37,7 @@ __all__ = [
     "factor_variables",
     "common_factor_variables",
     "divide_by_variable",
+    "detach_common_factor",
 ]
 
 
@@ -145,3 +148,22 @@ def divide_by_variable(expr: Expr, name: str) -> Expr:
     if isinstance(expr, Tensor):
         return tensor(divide_by_variable(expr.phi, name), expr.arg)
     raise CompilationError(f"cannot divide expression {expr!r} by {name}")
+
+
+def detach_common_factor(
+    terms: Sequence[Expr], rebuild: Callable[[list], Expr]
+) -> tuple[str, Expr] | None:
+    """Rule 5's step: a common factor ``x`` and the residual it leaves.
+
+    Tries the common factor variables of ``terms`` in name order; for
+    each, ``rebuild`` (which sums and normalises) turns the divided terms
+    into the residual sum.  Returns ``(x, residual)`` for the first ``x``
+    the residual no longer mentions — then ``Σ terms = x · residual``
+    with independent factors — or ``None`` if no factor detaches (e.g.
+    ``x·x·y``, where dividing once leaves an ``x`` behind).
+    """
+    for name in sorted(common_factor_variables(terms)):
+        residual = rebuild([divide_by_variable(term, name) for term in terms])
+        if name not in residual.variables:
+            return name, residual
+    return None

@@ -14,6 +14,13 @@ deterministic), and the Shannon budget doubles per round until
   remaining rows are compiled exactly (only when neither a budget nor a
   time limit was requested — a capped run never silently exceeds its cap).
 
+Only Shannon expansions spend budget (``stats["expansions"]`` counts
+them); group guards, independence and common-factor extraction are free.
+So rows whose annotations are read-once under their GROUP BY guards —
+the grouped aggregates of key–foreign-key chain joins, which lie outside
+Q_hie — converge in the first round with zero-width intervals and no
+expansion at all.
+
 Intervals nest monotonically across rounds (each refinement is
 intersected with the previous bracket), which is what makes
 :meth:`ApproxAdapter.run_iter` a true anytime iterator: consumers can

@@ -34,7 +34,7 @@ from collections import OrderedDict
 from typing import Protocol, runtime_checkable
 
 from repro.algebra.expressions import ONE, Expr
-from repro.codegen import runtime_stats
+from repro.codegen import run_counters
 from repro.core.compile import Compiler
 from repro.db.mutations import LineageIndex
 from repro.db.pvc_table import PVCDatabase
@@ -458,20 +458,6 @@ class SproutAdapter:
         return result
 
 
-def _codegen_stats(stats: dict, before: dict) -> dict:
-    """Merge this run's codegen counter deltas into ``stats``.
-
-    The counters are process-wide (kernels are cached across runs and
-    sessions), so per-run stats report the *delta* over the run; all of
-    these are volatile — excluded from result fingerprints like
-    ``wall_seconds``.
-    """
-    after = runtime_stats()
-    for key in ("kernels_compiled", "kernel_cache_hits", "codegen_compile_seconds"):
-        stats[key] = after[key] - before[key]
-    return stats
-
-
 def _concrete_rows(schema, probabilities, compare_key=repr):
     """Sorted ResultRows for engines reporting concrete tuples only."""
     return [
@@ -504,11 +490,10 @@ class NaiveAdapter:
             )
         _reject_non_exact(self.name, spec)
         self.engine.codegen = spec.codegen if spec is not None else None
-        counters = runtime_stats()
         start = time.perf_counter()
         deadline = deadline_from_spec(spec)
         try:
-            with deadline_scope(deadline):
+            with deadline_scope(deadline), run_counters() as counters:
                 probabilities = self.engine.tuple_probabilities(query)
         except DeadlineExceeded as exc:
             # Mid-enumeration the answer tuple set itself is incomplete,
@@ -527,7 +512,7 @@ class NaiveAdapter:
         stats = {"wall_seconds": elapsed, "rows": len(rows)}
         stats.update(self.engine.last_run_info)
         stats["db_generation"] = self.engine.db.generation
-        _codegen_stats(stats, counters)
+        stats.update(counters)
         return QueryResult(
             schema,
             rows,
@@ -587,23 +572,23 @@ class MonteCarloAdapter:
                 "confidence intervals via spec mode 'sample')"
             )
         self.engine.codegen = spec.codegen if spec is not None else None
-        counters = runtime_stats()
         if spec is not None and spec.mode == "sample":
             if samples is not None:
                 raise QueryValidationError(
                     "pass the sample budget as spec.budget, not samples=, "
                     "when running under an EvalSpec"
                 )
-            intervals, info = self.engine.estimate_intervals(
-                query,
-                epsilon=spec.epsilon,
-                delta=spec.delta,
-                max_samples=spec.budget,
-                time_limit=spec.time_limit,
-                workers=spec.workers,
-            )
+            with run_counters() as counters:
+                intervals, info = self.engine.estimate_intervals(
+                    query,
+                    epsilon=spec.epsilon,
+                    delta=spec.delta,
+                    max_samples=spec.budget,
+                    time_limit=spec.time_limit,
+                    workers=spec.workers,
+                )
             result = self._interval_result(query, intervals, info)
-            _codegen_stats(result.stats, counters)
+            result.stats.update(counters)
             if info.get("deadline_hit") and spec.on_timeout == "raise":
                 raise QueryTimeoutError(
                     f"sampling exceeded time_limit={spec.time_limit:g}s "
@@ -628,16 +613,17 @@ class MonteCarloAdapter:
         workers = spec.workers if spec is not None else None
         budget = self.samples if samples is None else samples
         start = time.perf_counter()
-        probabilities = self.engine.tuple_probabilities(
-            query, samples=budget, workers=workers
-        )
+        with run_counters() as counters:
+            probabilities = self.engine.tuple_probabilities(
+                query, samples=budget, workers=workers
+            )
         elapsed = time.perf_counter() - start
         schema = query.schema(self.engine.db.catalog())
         rows = _concrete_rows(schema, probabilities)
         stats = {"wall_seconds": elapsed, "rows": len(rows)}
         stats.update(self.engine.last_run_info)
         stats["db_generation"] = self.engine.db.generation
-        _codegen_stats(stats, counters)
+        stats.update(counters)
         return QueryResult(
             schema,
             rows,
@@ -659,17 +645,23 @@ class MonteCarloAdapter:
                 "anytime Monte-Carlo needs spec mode 'sample'"
             )
         self.engine.codegen = spec.codegen
-        counters = runtime_stats()
-        for intervals, info in self.engine.estimate_intervals_iter(
+        rounds = self.engine.estimate_intervals_iter(
             query,
             epsilon=spec.epsilon,
             delta=spec.delta,
             max_samples=spec.budget,
             time_limit=spec.time_limit,
             workers=spec.workers,
-        ):
-            result = self._interval_result(query, intervals, info)
-            _codegen_stats(result.stats, counters)
+        )
+        counters = None
+        while True:
+            # Count per round, never across a yield (see run_counters).
+            with run_counters(counters) as counters:
+                step = next(rounds, None)
+            if step is None:
+                return
+            result = self._interval_result(query, *step)
+            result.stats.update(counters)
             yield result
 
 

@@ -119,3 +119,46 @@ class TestSpecPlumbing:
             "kernel_cache_hits",
             "codegen_compile_seconds",
         } <= VOLATILE_STAT_KEYS
+
+
+class TestPerRunCounters:
+    """Each run reports its own kernel compiles, not a concurrent run's."""
+
+    @pytest.mark.parametrize("engine", ["naive", "montecarlo"])
+    def test_concurrent_runs_count_only_their_own_compiles(self, engine, monkeypatch):
+        import threading
+
+        from repro.codegen import emit
+
+        # Hold each thread's first compile until the other has compiled
+        # too, so both compiles fall inside both runs.
+        barrier = threading.Barrier(2, timeout=30)
+        compiled: dict[int, list] = {}
+        record = emit.record_compile
+
+        def record_then_wait(seconds):
+            record(seconds)
+            own = compiled.setdefault(threading.get_ident(), [])
+            own.append(seconds)
+            if len(own) == 1:
+                barrier.wait()
+
+        monkeypatch.setattr(emit, "record_compile", record_then_wait)
+        sessions = [shop(engine, seed=3) for _ in range(2)]
+        options = {"spec": "sample", "budget": 64} if engine == "montecarlo" else {}
+        results = [None, None]
+
+        def run(index):
+            result = sessions[index].run(GROUP, codegen=True, **options)
+            results[index] = (threading.get_ident(), result)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        for ident, result in results:
+            assert result.stats["kernels_compiled"] == len(compiled[ident]) == 1
+            assert result.stats["codegen_compile_seconds"] == sum(compiled[ident])
+            assert result.stats["kernel_cache_hits"] == 0

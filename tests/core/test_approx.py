@@ -33,6 +33,13 @@ class TestBoundsArithmetic:
         with pytest.raises(CompilationError):
             ProbabilityBounds(-0.1, 0.5)
 
+    def test_rounding_above_one_accepted(self):
+        # A Shannon sum over a multi-valued variable whose weights add up
+        # to 1 + 2⁻⁵² lands just above 1.
+        assert ProbabilityBounds.exact(1.0000000000000002).width == 0
+        with pytest.raises(CompilationError):
+            ProbabilityBounds(0.5, 1.1)
+
     def test_disjunction_monotone(self):
         b1 = ProbabilityBounds(0.2, 0.4)
         b2 = ProbabilityBounds(0.1, 0.3)

@@ -146,3 +146,95 @@ class TestRunIter:
                 break
         assert top.stats["top_k_decided"]
         assert top.rows[0].values == winner
+
+
+def _rows(db, name):
+    """``(attribute dict, P[row present])`` for each row of a base table."""
+    table = db.tables[name]
+    for row in table.rows:
+        p = db.registry[row.annotation.name][True]
+        yield dict(zip(table.schema.attributes, row.values)), p
+
+
+def _chain_presence(db, top, mid, leaf, keep) -> dict:
+    """Closed-form P[group non-empty] of a top⋈mid⋈leaf key–foreign-key chain.
+
+    ``top`` is ``(table, key, group attribute)``, ``mid`` is ``(table,
+    key, foreign key to top)``, ``leaf`` is ``(table, foreign key to
+    mid)``; ``keep(mid_row, leaf_row)`` is the query's filter.  A group
+    is non-empty when one of its top rows is present with a present mid
+    row that has a present leaf row kept by the filter.
+    """
+    mids = {values[mid[1]]: values for values, _ in _rows(db, mid[0])}
+    leaf_absent: dict = {}
+    for values, p in _rows(db, leaf[0]):
+        key = values[leaf[1]]
+        if key in mids and keep(mids[key], values):
+            leaf_absent[key] = leaf_absent.get(key, 1.0) * (1.0 - p)
+    mid_absent: dict = {}
+    for values, p in _rows(db, mid[0]):
+        below = 1.0 - leaf_absent.get(values[mid[1]], 1.0)
+        mid_absent[values[mid[2]]] = mid_absent.get(values[mid[2]], 1.0) * (1.0 - p * below)
+    group_absent: dict = {}
+    for values, p in _rows(db, top[0]):
+        below = 1.0 - mid_absent.get(values[top[1]], 1.0)
+        group = (values[top[2]],)
+        group_absent[group] = group_absent.get(group, 1.0) * (1.0 - p * below)
+    return {group: 1.0 - absent for group, absent in group_absent.items()}
+
+
+class TestReadOnceChainJoins:
+    """``auto`` bounds on read-once chain joins outside Q_hie are exact.
+
+    The grouped COUNTs of the key–foreign-key chains customer⋈orders⋈
+    lineitem and nation⋈supplier⋈lineitem have read-once annotations
+    under their group guards, so the guard rule, independence and
+    common-factor extraction decide them without one Shannon expansion.
+    The expansion count is deterministic, so no timing noise moves it.
+    """
+
+    CHAINS = {
+        "col_500": (
+            "SELECT c_mktsegment, COUNT(*) AS n FROM customer, orders, lineitem "
+            "WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey "
+            "AND o_orderdate <= 500 GROUP BY c_mktsegment",
+            ("customer", "c_custkey", "c_mktsegment"),
+            ("orders", "o_orderkey", "o_custkey"),
+            ("lineitem", "l_orderkey"),
+            lambda order, line: order["o_orderdate"] <= 500,
+        ),
+        "nsl_2400": (
+            "SELECT n_name, COUNT(*) AS n FROM nation, supplier, lineitem "
+            "WHERE n_nationkey = s_nationkey AND s_suppkey = l_suppkey "
+            "AND l_shipdate <= 2400 GROUP BY n_name",
+            ("nation", "n_nationkey", "n_name"),
+            ("supplier", "s_suppkey", "s_nationkey"),
+            ("lineitem", "l_suppkey"),
+            lambda supplier, line: line["l_shipdate"] <= 2400,
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def tpch(self):
+        from repro.workloads.tpch import TPCHConfig, generate_tpch
+
+        return generate_tpch(TPCHConfig(scale_factor=0.1, seed=7))
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_auto_bounds_need_no_expansion(self, tpch, chain):
+        sql, *shape = self.CHAINS[chain]
+        auto = connect(database=tpch).run(sql, engine="auto")
+        exact = connect(database=tpch).run(sql, engine="sprout")
+        assert auto.engine == "approx"
+        assert auto.stats["expansions"] == 0
+        truth = _chain_presence(tpch, *shape)
+        sprout = {row.values[:1]: float(row.probability()) for row in exact.rows}
+        got = {row.values[:1]: row.probability() for row in auto.rows}
+        assert got.keys() == sprout.keys() and len(got) > 1
+        for key, interval in got.items():
+            assert interval.width == 0.0
+            assert abs(interval.low - truth[key]) <= 1e-12
+            # Exact compilation drops distribution entries ≤ 1e-9 (e.g. a
+            # supplier's tiny P[no line item present]), so it agrees to
+            # that cut-off only.
+            assert abs(interval.low - sprout[key]) <= 1e-9

@@ -57,24 +57,72 @@ def integer_registries(draw, names=tuple(NAMES[:3]), max_value=3):
     return registry
 
 
-def variables():
-    return st.sampled_from(NAMES).map(Var)
+def variables(names=tuple(NAMES)):
+    return st.sampled_from(names).map(Var)
 
 
 @st.composite
-def semiring_exprs(draw, depth=3):
+def semiring_exprs(draw, depth=3, names=tuple(NAMES)):
     """Random semiring expressions over the name pool."""
     if depth <= 0:
-        return draw(st.one_of(variables(), st.integers(0, 1).map(SConst)))
+        return draw(st.one_of(variables(names), st.integers(0, 1).map(SConst)))
     kind = draw(st.integers(0, 3))
     if kind == 0:
-        return draw(variables())
+        return draw(variables(names))
     if kind == 1:
         return draw(st.integers(0, 1).map(SConst))
     children = draw(
-        st.lists(semiring_exprs(depth=depth - 1), min_size=2, max_size=3)
+        st.lists(semiring_exprs(depth=depth - 1, names=names), min_size=2, max_size=3)
     )
     return ssum(children) if kind == 2 else sprod(children)
+
+
+@st.composite
+def guarded_factorable_exprs(draw, names=tuple(NAMES)):
+    """``x·Φ₁ + ... + x·Φₙ`` under zero to two group guards ``[· ≠ 0]``.
+
+    The residuals ``Φᵢ`` may mention ``x`` again (then no factor
+    detaches), and each guard level may be multiplied by or summed with
+    a further expression, as grouped annotations are.
+    """
+    factor = draw(variables(names))
+    residuals = draw(
+        st.lists(semiring_exprs(depth=2, names=names), min_size=2, max_size=3)
+    )
+    expr = ssum([sprod([factor, residual]) for residual in residuals])
+    for _ in range(draw(st.integers(0, 2))):
+        expr = compare(expr, "!=", 0)
+        other = draw(semiring_exprs(depth=1, names=names))
+        expr = draw(st.sampled_from([expr, sprod([expr, other]), ssum([expr, other])]))
+    return expr
+
+
+@st.composite
+def read_once_monomials(draw, depth=3, prefix="v"):
+    """The expanded monomials of a random read-once formula.
+
+    Shaped like the provenance of a key–foreign-key chain join:
+    ``Σᵢ xᵢ·(Σⱼ yᵢⱼ·(Σₖ zᵢⱼₖ))`` multiplied out into
+    ``Σ xᵢ·yᵢⱼ·zᵢⱼₖ``, every variable (named ``prefix`` + index) in one
+    branch only.  Returns a list of name tuples.
+    """
+    counter = [0]
+
+    def fresh():
+        counter[0] += 1
+        return f"{prefix}{counter[0]}"
+
+    def level(depth):
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            head = fresh()
+            if depth <= 1 or not draw(st.booleans()):
+                terms.append((head,))
+            else:
+                terms.extend((head,) + tail for tail in level(depth - 1))
+        return terms
+
+    return level(depth)
 
 
 @st.composite

@@ -6,6 +6,9 @@ Three layers, matching the anytime-answers redesign:
 * semimodule level — bounds on random aggregation comparisons
   ``[Σ Φᵢ ⊗ mᵢ θ c]`` (the new conditional path through
   ``algebra/bounds.value_bounds``);
+* guards and factors — group guards ``[Φ ≠ 0]`` and common-factor sums
+  ``x·Φ₁ + ... + x·Φₙ`` in 𝔹 and ℕ, and read-once guarded sums, which
+  bound exactly without a single Shannon expansion;
 * engine level — every ``ProbInterval`` the approx engine reports for a
   random query under *any* budget contains the brute-force oracle
   probability, widths meet ε whenever the engine claims convergence, and
@@ -16,7 +19,9 @@ Three layers, matching the anytime-answers redesign:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.semiring import BOOLEAN
+from repro.algebra.conditions import compare
+from repro.algebra.expressions import Var, sprod, ssum
+from repro.algebra.semiring import BOOLEAN, NATURALS
 from repro.core.approx import ApproximateCompiler
 from repro.core.compile import Compiler
 from repro.engine.base import NaiveAdapter, create_engine
@@ -24,10 +29,14 @@ from repro.engine.spec import EvalSpec
 from repro.prob.space import ProbabilitySpace
 
 from tests.property.strategies import (
+    NAMES,
     boolean_registries,
     conditions,
+    guarded_factorable_exprs,
+    integer_registries,
     queries,
     query_databases,
+    read_once_monomials,
     semiring_exprs,
 )
 
@@ -111,6 +120,56 @@ class TestSemimoduleComparisons:
         exact = ProbabilitySpace(registry, BOOLEAN).probability(expr)
         bounds = ApproximateCompiler(registry, budget).bounds(expr)
         assert bounds.contains(exact, tol=1e-7)
+
+
+def presence(registry, semiring, expr) -> float:
+    """The exact ``P[expr ≠ 0_S]`` by d-tree compilation."""
+    return 1.0 - Compiler(registry, semiring).distribution(expr)[semiring.zero]
+
+
+class TestGuardsAndFactors:
+    """Group guards ``[Φ ≠ 0]`` and rule-5 factoring, in 𝔹 and ℕ."""
+
+    @SETTINGS
+    @given(
+        boolean_registries(),
+        guarded_factorable_exprs(),
+        st.integers(min_value=0, max_value=16),
+    )
+    def test_boolean_bounds_contain_exact(self, registry, expr, budget):
+        bounds = ApproximateCompiler(registry, budget, BOOLEAN).bounds(expr)
+        assert bounds.contains(presence(registry, BOOLEAN, expr), tol=1e-7)
+
+    @SETTINGS
+    @given(
+        integer_registries(),
+        guarded_factorable_exprs(names=tuple(NAMES[:3])),
+        st.integers(min_value=0, max_value=16),
+    )
+    def test_naturals_bounds_contain_exact(self, registry, expr, budget):
+        """Multi-valued ℕ variables: factoring relies on no zero divisors."""
+        bounds = ApproximateCompiler(registry, budget, NATURALS).bounds(expr)
+        assert bounds.contains(presence(registry, NATURALS, expr), tol=1e-7)
+
+    @SETTINGS
+    @given(st.data(), st.sampled_from([BOOLEAN, NATURALS]))
+    def test_read_once_guarded_sums_are_exact(self, data, semiring):
+        monomials = data.draw(read_once_monomials())
+        names = tuple(sorted({name for monomial in monomials for name in monomial}))
+        registry = data.draw(
+            boolean_registries(names)
+            if semiring is BOOLEAN
+            else integer_registries(names)
+        )
+        summed = ssum([sprod([Var(name) for name in m]) for m in monomials])
+        exact = presence(registry, semiring, summed)
+        for expr in (compare(summed, "!=", 0), compare(compare(summed, "!=", 0), "!=", 0)):
+            for budget in (0, 1 << 12):
+                approximator = ApproximateCompiler(registry, budget, semiring)
+                bounds = approximator.bounds(expr)
+                assert approximator.expansions == 0
+                assert bounds.width == 0.0
+                assert abs(bounds.low - exact) < 1e-9
 
 
 class TestEngineSoundness:

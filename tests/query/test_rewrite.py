@@ -22,7 +22,7 @@ from repro.query.ast import (
     relation,
 )
 from repro.query.predicates import cmp_, conj, eq, lit
-from repro.query.rewrite import evaluate_query
+from repro.query.executor import evaluate
 
 
 @pytest.fixture
@@ -42,29 +42,29 @@ def db():
 
 class TestBasicOperators:
     def test_base_relation_copies(self, db):
-        result = evaluate_query(relation("R"), db)
+        result = evaluate(relation("R"), db, optimize=False)
         assert len(result) == 3
         assert result.rows[0].annotation == Var("r0")
 
     def test_select_concrete_filters(self, db):
-        result = evaluate_query(Select(relation("R"), eq("a", 1)), db)
+        result = evaluate(Select(relation("R"), eq("a", 1)), db, optimize=False)
         assert len(result) == 2
 
     def test_project_sums_annotations(self, db):
-        result = evaluate_query(Project(relation("R"), ["a"]), db)
+        result = evaluate(Project(relation("R"), ["a"]), db, optimize=False)
         by_value = {row.values: row.annotation for row in result}
         assert by_value[(1,)] == ssum([Var("r0"), Var("r1")])
         assert by_value[(2,)] == Var("r2")
 
     def test_product_multiplies_annotations(self, db):
-        result = evaluate_query(Product(relation("R"), relation("S")), db)
+        result = evaluate(Product(relation("R"), relation("S")), db, optimize=False)
         assert len(result) == 6
         annotations = {row.annotation for row in result}
         assert sprod([Var("r0"), Var("s0")]) in annotations
 
     def test_join_keeps_matching_pairs(self, db):
         query = Select(Product(relation("R"), relation("S")), eq("a", "b"))
-        result = evaluate_query(query, db)
+        result = evaluate(query, db, optimize=False)
         assert {row.values for row in result} == {(1, 10, 1, 100), (1, 20, 1, 100)}
 
     def test_union_merges_duplicates(self, db):
@@ -72,17 +72,17 @@ class TestBasicOperators:
         db.registry.bernoulli("u0", 0.5)
         r2.add((1,), Var("u0"))
         query = Union(Project(relation("R"), ["a"]), relation("R2"))
-        result = evaluate_query(query, db)
+        result = evaluate(query, db, optimize=False)
         by_value = {row.values: row.annotation for row in result}
         assert by_value[(1,)] == ssum([Var("r0"), Var("r1"), Var("u0")])
 
     def test_extend_copies_column(self, db):
-        result = evaluate_query(Extend(relation("R"), "a2", "a"), db)
+        result = evaluate(Extend(relation("R"), "a2", "a"), db, optimize=False)
         assert result.rows[0].values == (1, 10, 1)
 
     def test_zero_annotations_dropped(self, db):
         db["R"].add((9, 90), parse_expr("0"))
-        result = evaluate_query(Project(relation("R"), ["a"]), db)
+        result = evaluate(Project(relation("R"), ["a"]), db, optimize=False)
         assert (9,) not in {row.values for row in result}
 
 
@@ -90,7 +90,7 @@ class TestAggregationRewriting:
     def test_example_8_global_aggregate(self, db):
         # $_{∅;α←SUM(v)}(R): single tuple, annotation 1_K.
         query = GroupAgg(relation("R"), [], [AggSpec.of("alpha", "SUM", "v")])
-        result = evaluate_query(query, db)
+        result = evaluate(query, db, optimize=False)
         assert len(result) == 1
         row = result.rows[0]
         assert row.annotation == ONE
@@ -108,7 +108,7 @@ class TestAggregationRewriting:
         # π_∅ σ_{5≤α}($_{∅;α←MIN(v)}(R)): annotation 1_K · [5 ≤ α]
         agg = GroupAgg(relation("R"), [], [AggSpec.of("alpha", "MIN", "v")])
         query = Project(Select(agg, cmp_(lit(5), "<=", "alpha")), [])
-        result = evaluate_query(query, db)
+        result = evaluate(query, db, optimize=False)
         assert len(result) == 1
         annotation = result.rows[0].annotation
         assert isinstance(annotation, Compare)
@@ -116,7 +116,7 @@ class TestAggregationRewriting:
 
     def test_grouped_aggregate_builds_guard(self, db):
         query = GroupAgg(relation("R"), ["a"], [AggSpec.of("t", "SUM", "v")])
-        result = evaluate_query(query, db)
+        result = evaluate(query, db, optimize=False)
         by_group = {row.values[0]: row for row in result}
         guard = by_group[1].annotation
         assert isinstance(guard, Compare)
@@ -125,7 +125,7 @@ class TestAggregationRewriting:
 
     def test_count_uses_constant_one(self, db):
         query = GroupAgg(relation("R"), ["a"], [AggSpec.of("n", "COUNT")])
-        result = evaluate_query(query, db)
+        result = evaluate(query, db, optimize=False)
         by_group = {row.values[0]: row for row in result}
         gamma = by_group[1].values[1]
         assert isinstance(gamma, AggSum)
@@ -137,14 +137,14 @@ class TestAggregationRewriting:
             [],
             [AggSpec.of("m", "MIN", "v")],
         )
-        result = evaluate_query(query, db)
+        result = evaluate(query, db, optimize=False)
         assert len(result) == 1
         assert result.rows[0].values[0].is_module_zero()
 
     def test_selection_on_aggregate_multiplies_condition(self, db):
         agg = GroupAgg(relation("R"), ["a"], [AggSpec.of("t", "SUM", "v")])
         query = Project(Select(agg, cmp_("t", "<=", 25)), ["a"])
-        result = evaluate_query(query, db)
+        result = evaluate(query, db, optimize=False)
         for row in result:
             # annotation contains both the guard and the threshold condition
             assert isinstance(row.annotation, (Compare,)) or row.annotation.variables
@@ -155,7 +155,7 @@ class TestAggregationRewriting:
             ["a"],
             [AggSpec.of("mn", "MIN", "v"), AggSpec.of("n", "COUNT")],
         )
-        result = evaluate_query(query, db)
+        result = evaluate(query, db, optimize=False)
         row = {r.values[0]: r for r in result}[1]
         assert isinstance(row.values[1], ModuleExpr)
         assert row.values[1].monoid == MIN
@@ -168,7 +168,7 @@ class TestHashJoinPath:
         db.registry.bernoulli("t0", 0.5)
         t.add((1,), Var("t0"))
         pred = conj(eq("a", "b"), eq("a", "c"))
-        fast = evaluate_query(Select(product_of(relation("R"), relation("S"), relation("T")), pred), db)
+        fast = evaluate(Select(product_of(relation("R"), relation("S"), relation("T")), pred), db, optimize=False)
         assert {row.values for row in fast} == {
             (1, 10, 1, 100, 1),
             (1, 20, 1, 100, 1),
@@ -178,14 +178,14 @@ class TestHashJoinPath:
 
     def test_local_constant_predicates_applied(self, db):
         pred = conj(eq("a", "b"), eq("v", 10))
-        result = evaluate_query(
-            Select(Product(relation("R"), relation("S")), pred), db
+        result = evaluate(
+            Select(Product(relation("R"), relation("S")), pred), db, optimize=False
         )
         assert {row.values for row in result} == {(1, 10, 1, 100)}
 
     def test_residual_theta_join(self, db):
         pred = cmp_("v", "<", "w")
-        result = evaluate_query(
-            Select(Product(relation("R"), relation("S")), pred), db
+        result = evaluate(
+            Select(Product(relation("R"), relation("S")), pred), db, optimize=False
         )
         assert len(result) == 6  # all R values below 100/300
